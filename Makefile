@@ -80,6 +80,8 @@ FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodePacket -fuzztime $(FUZZTIME) ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeSparsePacket -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeControl -fuzztime $(FUZZTIME) ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeView -fuzztime $(FUZZTIME) ./internal/wire/
 
 # Bench tier: the wall-clock datapath benchmarks with allocation stats,
 # recorded to BENCH_datapath.json (baseline preserved across reruns) so
@@ -102,10 +104,6 @@ bench:
 	    -gate 'BenchmarkAllReduceLive,BenchmarkPacketEncode,BenchmarkPacketDecode' \
 	    -gate-pct 10 -gate-mbs-pct 35
 	$(GO) run ./cmd/obsreport -o OBS_datapath.json
-	# Portable-flavor sanity run (scalar syscalls even on Linux); not
-	# recorded to BENCH_datapath.json because the "scalar" sub-benchmark
-	# above already carries the runtime-toggled scalar numbers.
-	$(GO) test -tags portable_net -run '^$$' -bench '^BenchmarkAllReduceUDPLive$$' -benchmem -benchtime 2x .
 
 # Full benchmark sweep (paper figures + wall clock), single iteration.
 bench-all:
@@ -113,16 +111,14 @@ bench-all:
 
 # Drift tier: the substrate-equivalence test (live channel cluster vs the
 # discrete-event simulator must produce identical per-worker packet,
-# block, and byte counts and bit-identical results), the batched-vs-scalar
-# UDP equivalence test under both build flavors (fast-path recvmmsg/
-# sendmmsg and the portable_net scalar build must report identical Stats
-# and bit-identical results), plus vet. Together: live-batched ≡
-# live-scalar ≡ sim.
+# block, and byte counts and bit-identical results), the UDP-vs-channel
+# equivalence test (loopback UDP sockets and the channel fabric must
+# report identical Stats and bit-identical results), plus vet. Together:
+# live-UDP ≡ live-channel ≡ sim.
 drift:
 	$(GO) vet ./...
 	$(GO) test -run 'TestSubstrateEquivalence' -v ./internal/netsim/simproto/
-	$(GO) test -run 'TestBatchedScalarEquivalence' -v ./internal/core/
-	$(GO) test -tags portable_net -run 'TestBatchedScalarEquivalence' -v ./internal/core/
+	$(GO) test -run 'TestUDPChannelEquivalence' -v ./internal/core/
 
 clean:
 	$(GO) clean -testcache

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"omnireduce/internal/protocol"
 	"omnireduce/internal/sparsity"
 	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
@@ -491,45 +492,45 @@ func TestShardMath(t *testing.T) {
 }
 
 func TestColumnHelpers(t *testing.T) {
-	// firstInColumn over [10, 18) width 4: columns hold 10..17 by residue.
+	// FirstInColumn over [10, 18) width 4: columns hold 10..17 by residue.
 	cases := []struct{ c, want int }{{0, 12}, {1, 13}, {2, 10}, {3, 11}}
 	for _, tc := range cases {
-		if got := firstInColumn(10, 18, tc.c, 4); got != tc.want {
-			t.Errorf("firstInColumn(10,18,%d,4) = %d, want %d", tc.c, got, tc.want)
+		if got := protocol.FirstInColumn(10, 18, tc.c, 4); got != tc.want {
+			t.Errorf("protocol.FirstInColumn(10,18,%d,4) = %d, want %d", tc.c, got, tc.want)
 		}
 	}
-	if got := firstInColumn(10, 11, 2, 4); got != 10 {
-		t.Errorf("firstInColumn single = %d", got)
+	if got := protocol.FirstInColumn(10, 11, 2, 4); got != 10 {
+		t.Errorf("FirstInColumn single = %d", got)
 	}
-	if got := firstInColumn(10, 11, 0, 4); got != -1 {
-		t.Errorf("firstInColumn empty column = %d, want -1", got)
+	if got := protocol.FirstInColumn(10, 11, 0, 4); got != -1 {
+		t.Errorf("FirstInColumn empty column = %d, want -1", got)
 	}
 
 	bm := tensor.NewBitmap(20)
 	bm.Set(14) // column 2 of width 4
 	bm.Set(18) // column 2
-	if got := nextNonZeroInColumn(bm, 10, 10, 20, 2, 4); got != 14 {
+	if got := protocol.NextNonZeroInColumn(bm.Get, 10, 10, 20, 2, 4); got != 14 {
 		t.Errorf("nextNonZero after 10 = %d, want 14", got)
 	}
-	if got := nextNonZeroInColumn(bm, 14, 10, 20, 2, 4); got != 18 {
+	if got := protocol.NextNonZeroInColumn(bm.Get, 14, 10, 20, 2, 4); got != 18 {
 		t.Errorf("nextNonZero after 14 = %d, want 18", got)
 	}
-	if got := nextNonZeroInColumn(bm, 18, 10, 20, 2, 4); got != -1 {
+	if got := protocol.NextNonZeroInColumn(bm.Get, 18, 10, 20, 2, 4); got != -1 {
 		t.Errorf("nextNonZero after 18 = %d, want -1", got)
 	}
-	if got := nextNonZeroInColumn(bm, -1, 10, 20, 2, 4); got != 14 {
+	if got := protocol.NextNonZeroInColumn(bm.Get, -1, 10, 20, 2, 4); got != 14 {
 		t.Errorf("nextNonZero from start = %d, want 14", got)
 	}
 }
 
 func TestBlockLen(t *testing.T) {
-	if blockLen(0, 256, 1000) != 256 {
+	if protocol.BlockLen(0, 256, 1000) != 256 {
 		t.Fatal("full block")
 	}
-	if blockLen(3, 256, 1000) != 1000-768 {
+	if protocol.BlockLen(3, 256, 1000) != 1000-768 {
 		t.Fatal("tail block")
 	}
-	if blockLen(4, 256, 1000) != 0 {
+	if protocol.BlockLen(4, 256, 1000) != 0 {
 		t.Fatal("past-end block")
 	}
 }

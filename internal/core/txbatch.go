@@ -8,15 +8,12 @@ import (
 )
 
 // txBatchMax is the most packets a driver accumulates before forcing a
-// flush. It is deliberately larger than the transport's per-syscall batch
-// (the transport re-chunks), so the flush boundary here only bounds how
-// much encoded data sits buffered, not the syscall batch size.
+// flush; it bounds how much encoded data sits buffered.
 const txBatchMax = 64
 
 // txBatch is a driver's reusable transmit state: an encode arena plus the
-// batch of outgoing datagrams carved from it, handed to the transport in
-// bursts via transport.SendAll (one sendmmsg per chunk on the Linux fast
-// path, a plain Send loop elsewhere). Allocated once per driver loop —
+// batch of outgoing datagrams carved from it, handed to the transport one
+// Send each when the batch flushes. Allocated once per driver loop —
 // a worker's persistent opState or an aggregator (shard) — and reused
 // for every emit burst, so the steady-state transmit path allocates
 // nothing.
@@ -33,7 +30,7 @@ type txBatch struct {
 	// flushFull/flushEnd count why each flush happened: the batch filled
 	// up mid-burst, or the burst ended. A full-heavy mix means emits come
 	// in windows larger than txBatchMax; an end-heavy mix means bursts
-	// are small and batching wins come from the transport's recv side.
+	// are small.
 	flushFull *obs.Counter
 	flushEnd  *obs.Counter
 	// dedup enables encode-once for consecutive emits sharing a packet
@@ -49,8 +46,15 @@ type txBatch struct {
 	resolve func(tid uint32, dst int) int
 
 	enc  []byte
-	outs []transport.Outgoing
-	tids []uint32
+	outs []outgoing
+}
+
+// outgoing is one queued datagram: its destination node, the tensor it
+// belongs to (for per-packet observation) and its bytes in the arena.
+type outgoing struct {
+	to   int
+	tid  uint32
+	data []byte
 }
 
 // emitTID extracts the tensor ID an emit belongs to, for per-packet
@@ -68,7 +72,7 @@ func emitTID(e *protocol.Emit) uint32 {
 // sendEmits encodes one emit burst into the arena and transmits it in
 // batches. The arena is presized from the emits' exact encoded sizes
 // (Emit.Size) so appends never reallocate — reallocation would invalidate
-// the Outgoing sub-slices already queued for the flush.
+// the outgoing sub-slices already queued for the flush.
 func (b *txBatch) sendEmits(conn transport.Conn, emits []protocol.Emit) error {
 	if len(emits) == 0 {
 		return nil
@@ -84,7 +88,6 @@ func (b *txBatch) sendEmits(conn transport.Conn, emits []protocol.Emit) error {
 	}
 	arena := cap(b.enc)
 	b.outs = b.outs[:0]
-	b.tids = b.tids[:0]
 	var lastPkt *wire.Packet
 	var lastSparse *wire.SparsePacket
 	var lastData []byte
@@ -97,12 +100,11 @@ func (b *txBatch) sendEmits(conn transport.Conn, emits []protocol.Emit) error {
 			data = b.enc[off:len(b.enc):len(b.enc)]
 			lastPkt, lastSparse, lastData = e.Packet, e.Sparse, data
 		}
-		dst := e.Dst
+		tid, dst := emitTID(e), e.Dst
 		if b.resolve != nil {
-			dst = b.resolve(emitTID(e), dst)
+			dst = b.resolve(tid, dst)
 		}
-		b.outs = append(b.outs, transport.Outgoing{To: dst, Data: data})
-		b.tids = append(b.tids, emitTID(e))
+		b.outs = append(b.outs, outgoing{to: dst, tid: tid, data: data})
 		if len(b.outs) >= txBatchMax {
 			if err := b.flush(conn, b.flushFull); err != nil {
 				return err
@@ -118,19 +120,22 @@ func (b *txBatch) sendEmits(conn transport.Conn, emits []protocol.Emit) error {
 	return b.flush(conn, b.flushEnd)
 }
 
-// flush transmits the queued batch and records per-packet observations.
+// flush transmits the queued batch in order and records per-packet
+// observations. An error may leave a prefix sent (datagram semantics: the
+// unsent tail is indistinguishable from in-flight loss).
 func (b *txBatch) flush(conn transport.Conn, reason *obs.Counter) error {
 	if len(b.outs) == 0 {
 		return nil
 	}
-	if err := transport.SendAll(conn, b.outs); err != nil {
-		return err
+	for _, o := range b.outs {
+		if err := conn.Send(o.to, o.data); err != nil {
+			return err
+		}
 	}
 	reason.Inc()
-	for i := range b.outs {
-		b.observe(b.tids[i], len(b.outs[i].Data))
+	for _, o := range b.outs {
+		b.observe(o.tid, len(o.data))
 	}
 	b.outs = b.outs[:0]
-	b.tids = b.tids[:0]
 	return nil
 }

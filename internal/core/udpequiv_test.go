@@ -10,55 +10,83 @@ import (
 	"omnireduce/internal/transport"
 )
 
-// startUDPPair builds a real UDP loopback cluster: every endpoint binds
+// fabric builds one endpoint per configured aggregator and per worker
+// (node IDs as in Config) on some transport.
+type fabric func(t testing.TB, cfg Config) (aggConns, workerConns []transport.Conn)
+
+// udpFabric builds a real UDP loopback cluster: every endpoint binds
 // 127.0.0.1:0 and addresses are exchanged after binding (aggregators
 // learn worker ports through RegisterPeer), so parallel tests never fight
-// over fixed ports. Batching is toggled on every socket before any
-// traffic flows.
-type udpCluster struct {
-	cfg      Config
-	workers  []*Worker
-	aggConns []*transport.UDP
-	aggs     []*Aggregator
-	aggWG    sync.WaitGroup
-	aggErr   chan error
-}
-
-func startUDPCluster(t testing.TB, cfg Config, batched bool) *udpCluster {
-	t.Helper()
-	cfg = cfg.withDefaults()
-	if len(cfg.Aggregators) == 0 {
-		cfg.Aggregators = []int{cfg.Workers}
-	}
-	c := &udpCluster{cfg: cfg, aggErr: make(chan error, len(cfg.Aggregators))}
+// over fixed ports.
+func udpFabric(t testing.TB, cfg Config) (aggConns, workerConns []transport.Conn) {
+	var aggUDP []*transport.UDP
 	for _, aggID := range cfg.Aggregators {
 		conn, err := transport.NewUDP(aggID, map[int]string{aggID: "127.0.0.1:0"})
 		if err != nil {
 			t.Fatal(err)
 		}
-		conn.SetBatching(batched)
-		c.aggConns = append(c.aggConns, conn)
+		aggUDP = append(aggUDP, conn)
+		aggConns = append(aggConns, conn)
+	}
+	for i := 0; i < cfg.Workers; i++ {
+		addrs := map[int]string{i: "127.0.0.1:0"}
+		for j, aggID := range cfg.Aggregators {
+			addrs[aggID] = aggUDP[j].Addr()
+		}
+		conn, err := transport.NewUDP(i, addrs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ac := range aggUDP {
+			if err := ac.RegisterPeer(i, conn.Addr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		workerConns = append(workerConns, conn)
+	}
+	return aggConns, workerConns
+}
+
+// channelFabric builds the in-process channel network.
+func channelFabric(t testing.TB, cfg Config) (aggConns, workerConns []transport.Conn) {
+	nw := transport.NewNetwork(cfg.Workers, 4096)
+	for _, aggID := range cfg.Aggregators {
+		aggConns = append(aggConns, nw.AddNode(aggID))
+	}
+	for i := 0; i < cfg.Workers; i++ {
+		workerConns = append(workerConns, nw.Conn(i))
+	}
+	return aggConns, workerConns
+}
+
+// fabricCluster is a worker/aggregator deployment on one fabric whose
+// teardown is explicit, so aggregator stats can be read after Run returns.
+type fabricCluster struct {
+	cfg      Config
+	workers  []*Worker
+	aggConns []transport.Conn
+	aggs     []*Aggregator
+	aggWG    sync.WaitGroup
+	aggErr   chan error
+}
+
+func startFabricCluster(t testing.TB, cfg Config, fab fabric) *fabricCluster {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	if len(cfg.Aggregators) == 0 {
+		cfg.Aggregators = []int{cfg.Workers}
+	}
+	c := &fabricCluster{cfg: cfg, aggErr: make(chan error, len(cfg.Aggregators))}
+	aggConns, workerConns := fab(t, cfg)
+	c.aggConns = aggConns
+	for _, conn := range aggConns {
 		agg, err := NewAggregator(conn, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.aggs = append(c.aggs, agg)
 	}
-	for i := 0; i < cfg.Workers; i++ {
-		addrs := map[int]string{i: "127.0.0.1:0"}
-		for j, aggID := range cfg.Aggregators {
-			addrs[aggID] = c.aggConns[j].Addr()
-		}
-		conn, err := transport.NewUDP(i, addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		conn.SetBatching(batched)
-		for _, ac := range c.aggConns {
-			if err := ac.RegisterPeer(i, conn.Addr()); err != nil {
-				t.Fatal(err)
-			}
-		}
+	for _, conn := range workerConns {
 		w, err := NewWorker(conn, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -79,7 +107,7 @@ func startUDPCluster(t testing.TB, cfg Config, batched bool) *udpCluster {
 
 // shutdown tears the cluster down and returns the aggregator stats (only
 // readable once Run has returned).
-func (c *udpCluster) shutdown(t testing.TB) []AggStats {
+func (c *fabricCluster) shutdown(t testing.TB) []AggStats {
 	t.Helper()
 	for _, w := range c.workers {
 		w.Close()
@@ -100,12 +128,12 @@ func (c *udpCluster) shutdown(t testing.TB) []AggStats {
 	return as
 }
 
-// runUDPOnce runs one AllReduce per worker over a fresh UDP loopback
-// cluster and returns the reduced tensors plus both sides' protocol
-// counters after full teardown.
-func runUDPOnce(t testing.TB, cfg Config, batched bool, inputs [][]float32) ([][]float32, []Stats, []AggStats) {
+// runOnce runs one AllReduce per worker over a fresh cluster on fab and
+// returns the reduced tensors plus both sides' protocol counters after
+// full teardown.
+func runOnce(t testing.TB, cfg Config, fab fabric, inputs [][]float32) ([][]float32, []Stats, []AggStats) {
 	t.Helper()
-	c := startUDPCluster(t, cfg, batched)
+	c := startFabricCluster(t, cfg, fab)
 	work := make([][]float32, len(inputs))
 	for i := range inputs {
 		work[i] = append([]float32(nil), inputs[i]...)
@@ -124,7 +152,7 @@ func runUDPOnce(t testing.TB, cfg Config, batched bool, inputs [][]float32) ([][
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatal("UDP AllReduce timed out")
+		t.Fatal("AllReduce timed out")
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -139,23 +167,15 @@ func runUDPOnce(t testing.TB, cfg Config, batched bool, inputs [][]float32) ([][
 	return work, ws, as
 }
 
-// TestBatchedScalarEquivalence drives the same seeded workload grid
-// through the batched (recvmmsg/sendmmsg) and scalar UDP paths and
-// asserts they are indistinguishable above the syscall layer: identical
-// worker Stats (packets, blocks, bytes, retransmits — every counter),
-// identical aggregator stats, and bit-identical results. Together with
-// the drift tier's live ≡ sim equivalence this closes the chain
-// live-batched ≡ live-scalar ≡ sim.
-//
-// On builds without the fast path (non-Linux, or -tags portable_net) both
-// legs run the scalar path and the test degenerates to a determinism
-// check — which is exactly what `make drift` runs under both build
-// flavors to keep the fallback exercised.
-func TestBatchedScalarEquivalence(t *testing.T) {
+// TestUDPChannelEquivalence drives the same seeded workload grid through
+// real loopback UDP sockets and the in-process channel fabric and asserts
+// they are indistinguishable above the transport: identical worker Stats
+// (packets, blocks, bytes, retransmits — every counter), identical
+// aggregator stats, and bit-identical results. Together with the drift
+// tier's live ≡ sim equivalence this closes the chain
+// live-UDP ≡ live-channel ≡ sim.
+func TestUDPChannelEquivalence(t *testing.T) {
 	audit := obs.StartLeakAudit()
-	if !transport.BatchingSupported() {
-		t.Log("batched I/O unavailable in this build; comparing scalar vs scalar")
-	}
 	cases := []struct {
 		workers  int
 		sparsity float64
@@ -176,41 +196,35 @@ func TestBatchedScalarEquivalence(t *testing.T) {
 				Reliable:    false,
 				// Loopback with 8MB socket buffers does not drop these tiny
 				// workloads; a generous timeout keeps the retransmit timer
-				// from firing, so both paths see the exact same packets.
+				// from firing, so both fabrics see the exact same packets.
 				RetransmitTimeout:  2 * time.Second,
 				DeterministicOrder: true,
 			}
 			inputs := randomInputs(48*16, tc.workers, tc.sparsity, int64(61+tc.workers))
 			want := expectedSum(inputs)
 
-			scalarRes, scalarWS, scalarAS := runUDPOnce(t, cfg, false, inputs)
-			preBatches := transport.BatchCounters().Get("udp_rx_batches")
-			batchRes, batchWS, batchAS := runUDPOnce(t, cfg, true, inputs)
-			if transport.BatchingSupported() {
-				if got := transport.BatchCounters().Get("udp_rx_batches"); got == preBatches {
-					t.Fatal("batched leg moved no batches through recvmmsg")
-				}
-			}
+			chanRes, chanWS, chanAS := runOnce(t, cfg, channelFabric, inputs)
+			udpRes, udpWS, udpAS := runOnce(t, cfg, udpFabric, inputs)
 
-			checkResult(t, scalarRes, want)
-			for w := range batchRes {
-				for i := range batchRes[w] {
-					if batchRes[w][i] != scalarRes[w][i] {
-						t.Fatalf("worker %d element %d: batched %v != scalar %v",
-							w, i, batchRes[w][i], scalarRes[w][i])
+			checkResult(t, chanRes, want)
+			for w := range udpRes {
+				for i := range udpRes[w] {
+					if udpRes[w][i] != chanRes[w][i] {
+						t.Fatalf("worker %d element %d: udp %v != channel %v",
+							w, i, udpRes[w][i], chanRes[w][i])
 					}
 				}
 			}
-			for w := range batchWS {
-				if batchWS[w] != scalarWS[w] {
-					t.Errorf("worker %d stats diverge:\nbatched: %+v\nscalar:  %+v",
-						w, batchWS[w], scalarWS[w])
+			for w := range udpWS {
+				if udpWS[w] != chanWS[w] {
+					t.Errorf("worker %d stats diverge:\nudp:     %+v\nchannel: %+v",
+						w, udpWS[w], chanWS[w])
 				}
 			}
-			for a := range batchAS {
-				if batchAS[a] != scalarAS[a] {
-					t.Errorf("aggregator %d stats diverge:\nbatched: %+v\nscalar:  %+v",
-						a, batchAS[a], scalarAS[a])
+			for a := range udpAS {
+				if udpAS[a] != chanAS[a] {
+					t.Errorf("aggregator %d stats diverge:\nudp:     %+v\nchannel: %+v",
+						a, udpAS[a], chanAS[a])
 				}
 			}
 		})

@@ -2,6 +2,7 @@ package simproto_test
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -45,10 +46,34 @@ func assertBitIdentical(t *testing.T, name string, results [][]float32, want []f
 	}
 }
 
+// silentAfterCheckpoint wraps the doomed primary's endpoint: from its
+// first checkpoint frame to the standby onwards it transmits nothing, as
+// if cut off from the cluster at that instant (the frame itself goes
+// out, and every machine step checkpoints before it emits, so the
+// standby never knows less than a worker). The collective therefore
+// cannot finish on the primary, and the kill that follows always lands
+// mid-collective instead of racing the last rounds.
+type silentAfterCheckpoint struct {
+	transport.Conn
+	standby int
+	silent  atomic.Bool
+}
+
+func (c *silentAfterCheckpoint) Send(to int, data []byte) error {
+	if c.silent.Load() {
+		return nil // lost in flight, like any datagram to a dead node
+	}
+	if to == c.standby {
+		c.silent.Store(true)
+	}
+	return c.Conn.Send(to, data)
+}
+
 // liveFailoverRun executes the live chaos-kill scenario: three workers,
 // two checkpointing primaries, one standby; the stream-1 primary is
-// killed once the standby holds one of its checkpoints, the standby is
-// activated into epoch 2, and the workers adopt the view in-band.
+// silenced by its first checkpoint and killed once the standby holds it,
+// the standby is activated into epoch 2, and the workers adopt the view
+// in-band.
 func liveFailoverRun(t *testing.T, inputs [][]float32, bs int) [][]float32 {
 	t.Helper()
 	const (
@@ -74,8 +99,11 @@ func liveFailoverRun(t *testing.T, inputs [][]float32, bs int) [][]float32 {
 	var aggWG sync.WaitGroup
 	conns := map[int]transport.Conn{}
 	startAgg := func(id int, c core.Config) *core.Aggregator {
-		conn := nw.AddNode(id)
+		var conn transport.Conn = nw.AddNode(id)
 		conns[id] = conn
+		if id == aggB {
+			conn = &silentAfterCheckpoint{Conn: conn, standby: standby}
+		}
 		a, err := core.NewAggregator(conn, c)
 		if err != nil {
 			t.Fatal(err)

@@ -69,17 +69,9 @@ const (
 	// skipped (each zero block is skipped exactly once per worker).
 	EvLookaheadSkip
 
-	// EvTxBatch / EvRxBatch fire once per batched transport syscall
-	// (sendmmsg/recvmmsg); arg is the number of datagrams the call moved.
-	// Dividing the packet event rate by the batch event rate gives the
-	// live amortization factor the batching tentpole is gated on.
-	EvTxBatch
-	EvRxBatch
-
 	// EvMachinePoolGet / EvMachinePoolPut fire when a protocol machine's
 	// pooled state (worker machines, aggregator slots, sparse slots) is
-	// acquired or released; appended after the batch events so earlier
-	// serialized traces keep their numeric values.
+	// acquired or released.
 	EvMachinePoolGet
 	EvMachinePoolPut
 
@@ -111,8 +103,6 @@ var eventNames = [NumEvents]string{
 	EvSlotIssue:      "slot_issue",
 	EvSlotComplete:   "slot_complete",
 	EvLookaheadSkip:  "lookahead_skip",
-	EvTxBatch:        "tx_batch",
-	EvRxBatch:        "rx_batch",
 	EvMachinePoolGet: "machine_pool_get",
 	EvMachinePoolPut: "machine_pool_put",
 	EvViewChange:     "view_change",

@@ -366,43 +366,6 @@ func (c *ChaosConn) Send(to int, data []byte) error {
 	return err
 }
 
-// SendBatch applies the scenario to a whole burst of outgoing messages,
-// forwarding the survivors in one batched operation when the inner
-// transport supports it. Per-message fates are identical to Send's —
-// decide() advances the same per-link state in the same order — so a
-// chaos-wrapped batched UDP path injects exactly what the scalar path
-// would; only the syscall count differs. Delayed messages leave the
-// batch (they need a timer and a private copy), matching Send.
-func (c *ChaosConn) SendBatch(msgs []Outgoing) error {
-	from := c.inner.LocalID()
-	out := make([]Outgoing, 0, len(msgs))
-	for _, m := range msgs {
-		d := c.f.decide(from, m.To, m.Data)
-		if d.send {
-			if d.delay > 0 {
-				buf := make([]byte, len(m.Data))
-				copy(buf, m.Data)
-				to, dup := m.To, d.dup
-				time.AfterFunc(d.delay, func() {
-					_ = c.inner.Send(to, buf)
-					if dup {
-						_ = c.inner.Send(to, buf)
-					}
-				})
-			} else {
-				out = append(out, m)
-				if d.dup {
-					out = append(out, m)
-				}
-			}
-		}
-		for _, h := range d.releases {
-			out = append(out, Outgoing{To: h.to, Data: h.data})
-		}
-	}
-	return SendAll(c.inner, out)
-}
-
 // Flush releases every message the fabric still holds for reordering on
 // this endpoint's links. Rarely needed: held messages self-release as
 // retransmissions generate new traffic on the link.

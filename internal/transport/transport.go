@@ -53,44 +53,6 @@ type Conn interface {
 // ErrClosed is returned by Recv and Send after Close.
 var ErrClosed = errors.New("transport: connection closed")
 
-// Outgoing is one queued outbound message for batched transmission.
-// Ownership follows Send: the transport copies (or transmits) the data
-// before SendBatch returns, so the caller may immediately reuse every
-// buffer, including an arena shared by several entries.
-type Outgoing struct {
-	To   int
-	Data []byte
-}
-
-// BatchSender is implemented by transports that can hand several
-// messages to the kernel (or fabric) in one operation — the UDP
-// transport's sendmmsg fast path. Messages are transmitted in slice
-// order; an error may leave a prefix of the batch sent (datagram
-// semantics: the unsent tail is indistinguishable from in-flight loss).
-type BatchSender interface {
-	SendBatch(msgs []Outgoing) error
-}
-
-// SendAll transmits msgs over conn in order, in one batched operation
-// when the transport supports it and one Send per message otherwise.
-// The two paths are semantically identical — same order, same best-effort
-// delivery — so callers batch unconditionally and the fabric decides how
-// many syscalls that costs.
-func SendAll(conn Conn, msgs []Outgoing) error {
-	if len(msgs) == 0 {
-		return nil
-	}
-	if bs, ok := conn.(BatchSender); ok {
-		return bs.SendBatch(msgs)
-	}
-	for _, m := range msgs {
-		if err := conn.Send(m.To, m.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ErrUnknownPeer is returned by Send for an unregistered destination.
 var ErrUnknownPeer = errors.New("transport: unknown peer")
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"net"
+	"net/netip"
 	"sync"
 	"testing"
 	"time"
@@ -269,62 +270,151 @@ func TestUDPTransport(t *testing.T) {
 }
 
 // TestUDPWildcardHostBook covers the CLI's ":port" address-book form: a
-// peer entry with no host can only mean "this machine" and must work on
-// both the scalar and batched send paths, with correct sender
-// attribution (the datagram arrives from 127.0.0.1, not the wildcard).
+// peer entry with no host can only mean "this machine" and must route,
+// with correct sender attribution (the datagram arrives from 127.0.0.1,
+// not the wildcard).
 func TestUDPWildcardHostBook(t *testing.T) {
-	for _, batched := range []bool{false, true} {
-		name := "scalar"
-		if batched {
-			if !BatchingSupported() {
-				continue
-			}
-			name = "batched"
+	t.Run("scalar", func(t *testing.T) {
+		u0, err := NewUDP(0, map[int]string{0: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			u0, err := NewUDP(0, map[int]string{0: "127.0.0.1:0"})
+		defer u0.Close()
+		u1, err := NewUDP(1, map[int]string{1: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer u1.Close()
+		port := func(u *UDP) string {
+			_, p, err := net.SplitHostPort(u.Addr())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer u0.Close()
-			u1, err := NewUDP(1, map[int]string{1: "127.0.0.1:0"})
+			return p
+		}
+		// Register each peer under the wildcard-host form.
+		if err := u0.RegisterPeer(1, ":"+port(u1)); err != nil {
+			t.Fatal(err)
+		}
+		if err := u1.RegisterPeer(0, ":"+port(u0)); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"a", "b", "c"} {
+			if err := u0.Send(1, []byte(want)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, want := range []string{"a", "b", "c"} {
+			m, err := u1.Recv()
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer u1.Close()
-			u0.SetBatching(batched)
-			u1.SetBatching(batched)
-			port := func(u *UDP) string {
-				_, p, err := net.SplitHostPort(u.Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				return p
+			if m.From != 0 || string(m.Data) != want {
+				t.Fatalf("got From=%d Data=%q, want From=0 Data=%q", m.From, m.Data, want)
 			}
-			// Register each peer under the wildcard-host form.
-			if err := u0.RegisterPeer(1, ":"+port(u1)); err != nil {
-				t.Fatal(err)
-			}
-			if err := u1.RegisterPeer(0, ":"+port(u0)); err != nil {
-				t.Fatal(err)
-			}
-			if err := u0.SendBatch([]Outgoing{{To: 1, Data: []byte("a")}, {To: 1, Data: []byte("b")}}); err != nil {
-				t.Fatal(err)
-			}
-			if err := u0.Send(1, []byte("c")); err != nil {
-				t.Fatal(err)
-			}
-			for _, want := range []string{"a", "b", "c"} {
-				m, err := u1.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if m.From != 0 || string(m.Data) != want {
-					t.Fatalf("got From=%d Data=%q, want From=0 Data=%q", m.From, m.Data, want)
-				}
-				PutBuf(m.Data)
-			}
-		})
+			PutBuf(m.Data)
+		}
+	})
+}
+
+// TestUDPV4MappedBook registers an IPv4 peer in its v4-mapped IPv6 form
+// ("[::ffff:127.0.0.1]:port"): the book must unmap it so an IPv4 socket
+// can send to it, and a datagram arriving from the plain IPv4 address
+// must attribute to that peer.
+func TestUDPV4MappedBook(t *testing.T) {
+	u0, err := NewUDP(0, map[int]string{0: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u0.Close()
+	u1, err := NewUDP(1, map[int]string{1: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u1.Close()
+	mapped := func(u *UDP) string {
+		_, p, err := net.SplitHostPort(u.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return "[::ffff:127.0.0.1]:" + p
+	}
+	if err := u0.RegisterPeer(1, mapped(u1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := u1.RegisterPeer(0, mapped(u0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := u0.Send(1, []byte("ping")); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvOne(t, u1); m.From != 0 || string(m.Data) != "ping" {
+		t.Fatalf("u1 got from=%d data=%q", m.From, m.Data)
+	} else {
+		PutBuf(m.Data)
+	}
+	if err := u1.Send(0, []byte("pong")); err != nil {
+		t.Fatal(err)
+	}
+	if m := recvOne(t, u0); m.From != 1 || string(m.Data) != "pong" {
+		t.Fatalf("u0 got from=%d data=%q", m.From, m.Data)
+	} else {
+		PutBuf(m.Data)
+	}
+}
+
+// TestUDPSenderKeyUnmaps pins the attribution key: the kernel reports
+// IPv4 senders on a dual-stack socket as v4-mapped, and zones differ by
+// receive path, so both must fold onto one book entry.
+func TestUDPSenderKeyUnmaps(t *testing.T) {
+	want := netip.MustParseAddrPort("127.0.0.1:7410")
+	for _, in := range []string{"127.0.0.1:7410", "[::ffff:127.0.0.1]:7410"} {
+		if got := senderKey(netip.MustParseAddrPort(in)); got != want {
+			t.Errorf("senderKey(%s) = %v, want %v", in, got, want)
+		}
+	}
+	if got := senderKey(netip.MustParseAddrPort("[fe80::1%eth0]:7410")); got != netip.MustParseAddrPort("[fe80::1]:7410") {
+		t.Errorf("senderKey kept the zone: %v", got)
+	}
+}
+
+// TestUDPRoundTripAllocs pins the per-datagram allocation cost of the UDP
+// path: a warmed Send+Recv round trip with the buffer recycled allocates
+// at most once.
+func TestUDPRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	u0, err := NewUDP(0, map[int]string{0: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u0.Close()
+	u1, err := NewUDP(1, map[int]string{1: "127.0.0.1:0", 0: u0.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer u1.Close()
+	if err := u0.RegisterPeer(1, u1.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 1024)
+	roundTrip := func() {
+		if err := u0.Send(1, payload); err != nil {
+			t.Fatal(err)
+		}
+		m, err := u1.Recv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.From != 0 || len(m.Data) != len(payload) {
+			t.Fatalf("got from=%d len=%d", m.From, len(m.Data))
+		}
+		PutBuf(m.Data)
+	}
+	roundTrip() // warm the buffer pool
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs > 1 {
+		t.Fatalf("UDP Send+Recv round trip: %v allocs, want <= 1", allocs)
 	}
 }
 

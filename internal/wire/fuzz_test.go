@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -267,6 +268,85 @@ func FuzzDecodeSparsePacket(f *testing.F) {
 	})
 }
 
+// seedControls are valid encodings of every control-plane type, used as
+// fuzz seeds and by the corpus generator.
+func seedControls() [][]byte {
+	ps := []*ControlPacket{
+		{Type: TypeJobOpen, WID: 1, TensorID: 0x30000, Workers: 4, Tenant: "acme", Job: "bert"},
+		{Type: TypeJobAccept, WID: 1, TensorID: 0x30000},
+		{Type: TypeJobReject, Reason: ReasonQuota, TensorID: 0x50000, Tenant: "t"},
+		{Type: TypeJobClose, WID: 2, TensorID: 0x30000, Job: "j"},
+		{Type: TypeOpReject, Reason: ReasonDraining, TensorID: 0x30009},
+	}
+	var out [][]byte
+	for _, p := range ps {
+		out = append(out, AppendControl(nil, p))
+	}
+	return out
+}
+
+// seedViews are valid encodings of every view-plane type DecodeView
+// accepts, used as fuzz seeds and by the corpus generator.
+func seedViews() [][]byte {
+	ps := []*ViewPacket{
+		{Type: TypeView, Epoch: 2, Workers: []int32{0, 1}, Aggregators: []int32{3}},
+		{Type: TypeViewAck, WID: 1, Epoch: 2},
+		{Type: TypeStaleEpoch, Reason: ReasonStaleEpoch, TensorID: 77, Epoch: 3,
+			Workers: []int32{0, 1, 2}, Aggregators: []int32{4, 5}},
+	}
+	var out [][]byte
+	for _, p := range ps {
+		out = append(out, AppendView(nil, p))
+	}
+	return out
+}
+
+// checkPlaneRoundTrip asserts the control/view-plane decoder contract on
+// buf and its chaos mutations: no panic, and anything decode accepts
+// re-encodes to its own prefix (the decoders ignore trailing bytes) and
+// decodes back to an equal packet.
+func checkPlaneRoundTrip[P any](t *testing.T, buf []byte, decode func([]byte) (P, error), encode func([]byte, P) []byte) {
+	for _, b := range append([][]byte{buf}, chaosMutations(buf)...) {
+		p, err := decode(b)
+		if err != nil {
+			continue
+		}
+		enc := encode(nil, p)
+		if !bytes.Equal(enc, b[:len(enc)]) {
+			t.Fatalf("re-encode differs from input prefix:\n  %x\n  %x", enc, b)
+		}
+		q, err := decode(enc)
+		if err != nil {
+			t.Fatalf("re-decode failed: %v", err)
+		}
+		if !reflect.DeepEqual(p, q) {
+			t.Fatalf("round trip changed the packet:\n  %+v\n  %+v", p, q)
+		}
+	}
+}
+
+// FuzzDecodeControl fuzzes the control-plane decoder (job open/accept/
+// reject/close, op reject) with checkPlaneRoundTrip.
+func FuzzDecodeControl(f *testing.F) {
+	for _, seed := range seedControls() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		checkPlaneRoundTrip(t, buf, DecodeControl, AppendControl)
+	})
+}
+
+// FuzzDecodeView fuzzes the view-plane decoder (view, view ack, stale
+// epoch) with checkPlaneRoundTrip.
+func FuzzDecodeView(f *testing.F) {
+	for _, seed := range seedViews() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		checkPlaneRoundTrip(t, buf, DecodeView, AppendView)
+	})
+}
+
 // Huge declared lengths must fail cleanly rather than allocating wildly:
 // a corrupted block-length field is bounded by the buffer check.
 func TestDecodePacketHugeDeclaredLength(t *testing.T) {
@@ -285,13 +365,18 @@ func TestDecodePacketHugeDeclaredLength(t *testing.T) {
 }
 
 // TestRegenerateFuzzCorpus rewrites the checked-in regression corpus under
-// testdata/fuzz from seedPackets and their chaos mutations. Run with
+// testdata/fuzz from each target's seeds and their chaos mutations. Run with
 // WIRE_CORPUS_GEN=1 after changing the wire format; normally it only
 // verifies every corpus entry still parses without panicking.
 func TestRegenerateFuzzCorpus(t *testing.T) {
-	targets := []string{"FuzzDecodePacket", "FuzzDecodeSparsePacket"}
+	seeds := map[string]func() [][]byte{
+		"FuzzDecodePacket":       seedPackets,
+		"FuzzDecodeSparsePacket": seedPackets,
+		"FuzzDecodeControl":      seedControls,
+		"FuzzDecodeView":         seedViews,
+	}
 	if os.Getenv("WIRE_CORPUS_GEN") != "" {
-		for _, target := range targets {
+		for target, seedFn := range seeds {
 			dir := "testdata/fuzz/" + target
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
@@ -305,7 +390,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			for _, seed := range seedPackets() {
+			for _, seed := range seedFn() {
 				emit(seed)
 				for _, m := range chaosMutations(seed) {
 					emit(m)
@@ -314,7 +399,7 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 		}
 		return
 	}
-	for _, target := range targets {
+	for target := range seeds {
 		dir := "testdata/fuzz/" + target
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -342,6 +427,8 @@ func TestRegenerateFuzzCorpus(t *testing.T) {
 			}
 			_, _ = DecodePacket([]byte(s))
 			_, _ = DecodeSparsePacket([]byte(s))
+			_, _ = DecodeControl([]byte(s))
+			_, _ = DecodeView([]byte(s))
 		}
 	}
 }
