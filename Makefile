@@ -98,7 +98,7 @@ bench:
 	  for i in 1 2 3 4 5 6 7; do \
 	    $(GO) test -run '^$$' -bench '^BenchmarkTracerOverhead$$' -benchmem -benchtime 30x . ; \
 	  done ; \
-	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto)$$' -benchmem -count=3 ./internal/wire/ ; \
+	  $(GO) test -run '^$$' -bench '^(BenchmarkPacketEncode|BenchmarkPacketDecode|BenchmarkPacketDecodeInto|BenchmarkPacketDecodeView)$$' -benchmem -count=3 ./internal/wire/ ; \
 	  $(GO) test -run '^$$' -bench '^(BenchmarkComputeBitmap|BenchmarkDenseAdd)$$' -benchmem ./internal/tensor/ ) \
 	| $(GO) run ./cmd/benchjson -o BENCH_datapath.json \
 	    -gate 'BenchmarkAllReduceLive,BenchmarkPacketEncode,BenchmarkPacketDecode' \

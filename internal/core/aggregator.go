@@ -378,7 +378,7 @@ func (a *Aggregator) Run() error {
 
 // handle decodes one inbound message, runs it through its namespace's
 // machine, and transmits the machine's emits. The message buffer is
-// recycled to the transport pool as soon as decoding has copied it out.
+// recycled to the transport pool once the machine has consumed it.
 func (a *Aggregator) handle(m transport.Message) error {
 	var gen, tid uint32
 	if t, ok := peekTensorID(m.Data); ok {
@@ -401,16 +401,18 @@ func (a *Aggregator) handle(m transport.Message) error {
 	return a.tx.sendEmits(a.conn, a.eb.Emits())
 }
 
-// handleMsg decodes one message into dec's reusable state, releases the
-// encoded buffer, and feeds the packet to its namespace's machine (built
-// or rebuilt for registration generation gen), which appends its emits to
-// eb (reset here). Decoding copies everything out of msg.Data (payloads
-// land in dec's scratch arena), so the buffer goes back to the transport
-// pool before the machine runs — on decode errors too, since a buffer
-// that failed to decode is equally finished with. The emits reference the
-// machine's reusable shells; the caller must consume them before the next
-// handleMsg on the same machine set (sendEmits encodes them immediately).
+// handleMsg decodes one message into dec's reusable state, feeds the
+// packet to its namespace's machine (built or rebuilt for registration
+// generation gen), which appends its emits to eb (reset here), and
+// releases the encoded buffer. Dense payloads are decoded in place (they
+// alias msg.Data), so the buffer goes back to the transport pool only
+// after HandlePacket returns — on every path, decode errors included,
+// since a buffer that failed to decode is equally finished with. The
+// emits reference the machine's reusable shells, never msg.Data; the
+// caller must consume them before the next handleMsg on the same machine
+// set (sendEmits encodes them immediately).
 func handleMsg(ms *machineSet, dec *decodeState, eb *protocol.EmitBuf, msg transport.Message, gen uint32) error {
+	defer transport.PutBuf(msg.Data)
 	eb.Reset()
 	n := int64(len(msg.Data))
 	obsAggPackets.Inc()
@@ -421,7 +423,6 @@ func handleMsg(ms *machineSet, dec *decodeState, eb *protocol.EmitBuf, msg trans
 	case wire.TypeData:
 		p, err := dec.decodeDense(msg.Data)
 		if err != nil {
-			transport.PutBuf(msg.Data)
 			return fmt.Errorf("core: aggregator decode: %w", err)
 		}
 		pm.Dense = p
@@ -429,16 +430,13 @@ func handleMsg(ms *machineSet, dec *decodeState, eb *protocol.EmitBuf, msg trans
 	case wire.TypeSparseData:
 		p, err := dec.decodeSparse(msg.Data)
 		if err != nil {
-			transport.PutBuf(msg.Data)
 			return fmt.Errorf("core: aggregator decode sparse: %w", err)
 		}
 		pm.Sparse = p
 		tid = p.TensorID
 	default:
-		transport.PutBuf(msg.Data)
 		return fmt.Errorf("core: aggregator received unexpected message type %d", wire.PeekType(msg.Data))
 	}
-	transport.PutBuf(msg.Data)
 	m := ms.machineFor(tid, gen)
 	if m == nil {
 		// The job closed with packets still queued behind the gate; too

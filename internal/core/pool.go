@@ -15,14 +15,18 @@ func init() {
 
 // decodeState is the reusable receive-side decode state of one driver
 // loop: a packet shell, its float32 scratch arena, and a sparse packet
-// shell. wire.DecodePacketInto repopulates the shell and carves block
-// payloads from the arena, so a loop that owns a decodeState decodes
-// every inbound packet without allocating once the arena has grown to the
-// working-set packet size.
+// shell. wire.DecodePacketView repopulates the shell and points float32
+// block payloads straight at the receive buffer (carving them from the
+// arena only where it cannot: half precision, a misaligned buffer, a
+// big-endian host), so a loop that owns a decodeState decodes every
+// inbound packet without allocating or copying payloads once the arena
+// has grown to the working-set packet size.
 //
 // The decoded contents are valid only until the next decode with the same
-// state — exactly the lifetime protocol machines need, since they copy
-// everything they keep during HandlePacket (see protocol.Msg ownership).
+// state, and dense payloads only while the receive buffer is held: the
+// driver releases it after HandlePacket returns. That is exactly the
+// lifetime protocol machines need, since they copy everything they keep
+// during HandlePacket (see protocol.Msg ownership).
 type decodeState struct {
 	pkt     wire.Packet
 	scratch []float32
@@ -30,9 +34,10 @@ type decodeState struct {
 }
 
 // decodeDense decodes buf into the reusable packet, recycling the scratch
-// arena.
+// arena. Payloads may alias buf, which the caller must hold until it is
+// done with the packet.
 func (d *decodeState) decodeDense(buf []byte) (*wire.Packet, error) {
-	arena, err := wire.DecodePacketInto(&d.pkt, d.scratch, buf)
+	arena, err := wire.DecodePacketView(&d.pkt, d.scratch, buf)
 	if err != nil {
 		return nil, err
 	}

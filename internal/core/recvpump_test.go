@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"omnireduce/internal/obs"
+	"omnireduce/internal/tensor"
 	"omnireduce/internal/transport"
 	"omnireduce/internal/wire"
 )
@@ -200,6 +201,90 @@ func TestBadPacketsCountedAndRecycled(t *testing.T) {
 	}
 	if leaks := audit.Settle(2 * time.Second); len(leaks) != 0 {
 		t.Fatalf("bad packet leaked: %v", obs.LeaksErr(leaks))
+	}
+}
+
+// TestWorkerDecodeErrorRecyclesBuffer is the regression test for the
+// driver loops' decode-error exits: a result whose header claims a
+// payload the datagram does not carry must fail the collective with
+// wire.ErrTruncated and still return its receive buffer to the pool.
+func TestWorkerDecodeErrorRecyclesBuffer(t *testing.T) {
+	cases := []struct {
+		name      string
+		run       func(w *Worker) error
+		truncated func(tid uint32) []byte
+	}{
+		{
+			name: "dense",
+			run:  func(w *Worker) error { return w.AllReduce(make([]float32, 64)) },
+			truncated: func(tid uint32) []byte {
+				// Mask bit 0 set, block header and payload cut off.
+				return wire.AppendPacket(nil, &wire.Packet{
+					Type: wire.TypeResult, TensorID: tid, BlockSize: 16,
+					Nexts:  []uint32{wire.Inf(0)},
+					Blocks: []wire.Block{{Index: 0, Data: make([]float32, 16)}},
+				})[:28]
+			},
+		},
+		{
+			name: "sparse",
+			run: func(w *Worker) error {
+				_, err := w.AllReduceSparse(&tensor.COO{Dim: 64, Keys: []int32{3}, Values: []float32{1}})
+				return err
+			},
+			truncated: func(tid uint32) []byte {
+				// One key-value pair declared, none carried.
+				return wire.AppendSparsePacket(nil, &wire.SparsePacket{
+					Type: wire.TypeSparseResult, TensorID: tid, NextKey: wire.InfKey,
+					Keys: []uint32{3}, Values: []float32{1},
+				})[:16]
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			audit := obs.StartLeakAudit()
+			nw := transport.NewNetwork(1, 64)
+			w, err := NewWorker(nw.Conn(0), Config{Workers: 1, Aggregators: []int{5}, Reliable: true, BlockSize: 16})
+			if err != nil {
+				t.Fatal(err)
+			}
+			agg := nw.AddNode(5)
+			errCh := make(chan error, 1)
+			go func() { errCh <- tc.run(w) }()
+
+			// The operation's first packet names its tensor ID.
+			m, err := agg.Recv()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tid, ok := peekTensorID(m.Data)
+			transport.PutBuf(m.Data)
+			if !ok {
+				t.Fatal("worker sent a packet without a tensor ID")
+			}
+			if err := agg.Send(0, tc.truncated(tid)); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case err := <-errCh:
+				if !errors.Is(err, wire.ErrTruncated) {
+					t.Fatalf("collective error = %v, want wire.ErrTruncated", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("collective did not fail on the truncated result")
+			}
+
+			if err := agg.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if leaks := audit.Settle(2 * time.Second); len(leaks) != 0 {
+				t.Fatalf("decode error leaked: %v", obs.LeaksErr(leaks))
+			}
+		})
 	}
 }
 

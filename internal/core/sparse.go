@@ -82,7 +82,8 @@ func (w *Worker) runAllReduceSparse(in *tensor.COO, tid uint32, st *opState, pcf
 			obs.Emit(obs.EvPacketRecvd, tid, int64(len(msg.Data)))
 			p, err := dec.decodeSparse(msg.Data)
 			if err != nil {
-				return nil, err
+				transport.PutBuf(msg.Data)
+				return nil, fmt.Errorf("core: worker decode sparse: %w", err)
 			}
 			transport.PutBuf(msg.Data)
 			st.eb.Reset()

@@ -401,10 +401,10 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 
 	// The persistent opState carries the decode state, encode arena, and
 	// inbound queue across collectives: every inbound result decodes into
-	// the same packet shell and scratch arena (the machine copies what it
-	// keeps during HandlePacket), and every emit encodes into the same
-	// arena, so the steady-state datapath stops allocating once the state
-	// is warm.
+	// the same packet shell, its payloads read in place from the receive
+	// buffer (the machine copies what it keeps during HandlePacket), and
+	// every emit encodes into the same arena, so the steady-state datapath
+	// stops allocating once the state is warm.
 	q, dec := st.q, st.dec
 
 	// Mirror machine counters into the shared atomic Stats after every
@@ -483,13 +483,16 @@ func (w *Worker) runAllReduce(data []float32, tid uint32, st *opState, pcfg prot
 				return fmt.Errorf("core: worker %d: unexpected message type %d", w.id, t)
 			}
 			obs.Emit(obs.EvPacketRecvd, tid, int64(len(msg.Data)))
+			// Result payloads alias msg.Data until HandlePacket has
+			// written them into the caller's tensor.
 			p, err := dec.decodeDense(msg.Data)
 			if err != nil {
+				transport.PutBuf(msg.Data)
 				return fmt.Errorf("core: worker decode: %w", err)
 			}
-			transport.PutBuf(msg.Data)
 			st.eb.Reset()
 			err = m.HandlePacket(p, time.Since(start), &st.eb)
+			transport.PutBuf(msg.Data)
 			sync()
 			if err != nil {
 				return err

@@ -15,9 +15,10 @@ import (
 // need (block payloads into accumulators or tensor views, metadata into
 // slot state) and must not retain references to the packet, its Nexts, or
 // any Block.Data past the call. This is what lets the live drivers decode
-// into recycled packets and scratch arenas (wire.DecodePacketInto) and
-// recycle them immediately after HandlePacket returns, keeping the
-// steady-state receive path allocation-free. The simulator relies on the
+// into recycled packets whose float32 payloads alias the receive buffer
+// itself (wire.DecodePacketView), and recycle packet and buffer as soon
+// as HandlePacket returns, keeping the steady-state receive path free of
+// allocations and payload copies. The simulator relies on the
 // complementary guarantee: machines never mutate a received packet, so it
 // may deliver one decoded packet by reference to many machines.
 type Msg struct {

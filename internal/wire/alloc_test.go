@@ -58,6 +58,32 @@ func TestDecodePacketIntoZeroAllocs(t *testing.T) {
 	}
 }
 
+func TestDecodePacketViewZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	// One packet per payload route: aliased float32, and half precision
+	// through the arena.
+	half := benchPacket()
+	half.DType = DTypeF16
+	for _, buf := range [][]byte{AppendPacket(nil, benchPacket()), AppendPacket(nil, half)} {
+		var p Packet
+		var scratch []float32
+		var err error
+		if scratch, err = DecodePacketView(&p, scratch, buf); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if scratch, err = DecodePacketView(&p, scratch, buf); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("DecodePacketView (dtype %d) with recycled state: %v allocs/op, want 0", p.DType, allocs)
+		}
+	}
+}
+
 func TestAppendSparsePacketZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"reflect"
@@ -190,11 +191,46 @@ func checkReuseDecode(t *testing.T, dirty *Packet, scratch []float32, buf []byte
 	return scratch
 }
 
+// checkViewDecode verifies DecodePacketView against DecodePacketInto on
+// buf as given and shifted one byte into a larger slice (which forces the
+// misaligned fallback): the same error, or the same packet with
+// bit-identical payloads. The view packet and arena are recycled dirty
+// across calls like checkReuseDecode's.
+func checkViewDecode(t *testing.T, dirty *Packet, scratch []float32, buf []byte) []float32 {
+	var into Packet
+	_, intoErr := DecodePacketInto(&into, nil, buf)
+	shifted := make([]byte, len(buf)+1)[1:]
+	copy(shifted, buf)
+	for _, b := range [][]byte{buf, shifted} {
+		var viewErr error
+		scratch, viewErr = DecodePacketView(dirty, scratch, b)
+		if (intoErr == nil) != (viewErr == nil) || (intoErr != nil && intoErr.Error() != viewErr.Error()) {
+			t.Fatalf("DecodePacketView err %v, DecodePacketInto err %v", viewErr, intoErr)
+		}
+		if intoErr != nil {
+			continue
+		}
+		if !packetsEquivalent(&into, dirty) {
+			t.Fatalf("view decode differs:\n into %+v\n view %+v", &into, dirty)
+		}
+		for i, blk := range into.Blocks {
+			for j, v := range blk.Data {
+				if math.Float32bits(v) != math.Float32bits(dirty.Blocks[i].Data[j]) {
+					t.Fatalf("block %d elem %d: view bits %#08x, into bits %#08x", i, j,
+						math.Float32bits(dirty.Blocks[i].Data[j]), math.Float32bits(v))
+				}
+			}
+		}
+	}
+	return scratch
+}
+
 // FuzzDecodePacket exercises the dense decoder on arbitrary and mutated
 // inputs: no panics ever, any buffer that decodes must survive an
-// encode/decode round trip (byte-exact for float32 payloads), and the
+// encode/decode round trip (byte-exact for float32 payloads), the
 // recycled-state reuse path (DecodePacketInto over a dirty packet and
-// scratch arena) must agree with the fresh path exactly.
+// scratch arena) must agree with the fresh path exactly, and the in-place
+// DecodePacketView must agree with DecodePacketInto, aligned or not.
 func FuzzDecodePacket(f *testing.F) {
 	for _, seed := range seedPackets() {
 		f.Add(seed)
@@ -205,8 +241,11 @@ func FuzzDecodePacket(f *testing.F) {
 		// decoder that fails to reset state cannot pass.
 		dirty := &Packet{}
 		scratch, _ := DecodePacketInto(dirty, nil, seedPackets()[0])
+		viewDirty := &Packet{}
+		viewScratch, _ := DecodePacketView(viewDirty, nil, seedPackets()[2])
 		check := func(b []byte) {
 			scratch = checkReuseDecode(t, dirty, scratch, b)
+			viewScratch = checkViewDecode(t, viewDirty, viewScratch, b)
 			p, err := DecodePacket(b)
 			if err != nil {
 				return

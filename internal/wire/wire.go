@@ -18,7 +18,6 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 )
 
 // Message types.
@@ -133,50 +132,6 @@ func grow(dst []byte, n int) (ext, tail []byte) {
 	return ext, ext[len(dst):]
 }
 
-// putF32Slice writes src as little-endian float32 bits into dst, which
-// must hold at least 4*len(src) bytes. The 8-element unrolling replaces
-// the former per-element append loop: one bounds check per 32 bytes and
-// no slice-header churn.
-func putF32Slice(dst []byte, src []float32) {
-	for len(src) >= 8 {
-		d := dst[:32]
-		binary.LittleEndian.PutUint32(d[0:], math.Float32bits(src[0]))
-		binary.LittleEndian.PutUint32(d[4:], math.Float32bits(src[1]))
-		binary.LittleEndian.PutUint32(d[8:], math.Float32bits(src[2]))
-		binary.LittleEndian.PutUint32(d[12:], math.Float32bits(src[3]))
-		binary.LittleEndian.PutUint32(d[16:], math.Float32bits(src[4]))
-		binary.LittleEndian.PutUint32(d[20:], math.Float32bits(src[5]))
-		binary.LittleEndian.PutUint32(d[24:], math.Float32bits(src[6]))
-		binary.LittleEndian.PutUint32(d[28:], math.Float32bits(src[7]))
-		dst = dst[32:]
-		src = src[8:]
-	}
-	for i, v := range src {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
-}
-
-// getF32Slice fills dst from little-endian float32 bits in src, which
-// must hold at least 4*len(dst) bytes.
-func getF32Slice(dst []float32, src []byte) {
-	for len(dst) >= 8 {
-		s := src[:32]
-		dst[0] = math.Float32frombits(binary.LittleEndian.Uint32(s[0:]))
-		dst[1] = math.Float32frombits(binary.LittleEndian.Uint32(s[4:]))
-		dst[2] = math.Float32frombits(binary.LittleEndian.Uint32(s[8:]))
-		dst[3] = math.Float32frombits(binary.LittleEndian.Uint32(s[12:]))
-		dst[4] = math.Float32frombits(binary.LittleEndian.Uint32(s[16:]))
-		dst[5] = math.Float32frombits(binary.LittleEndian.Uint32(s[20:]))
-		dst[6] = math.Float32frombits(binary.LittleEndian.Uint32(s[24:]))
-		dst[7] = math.Float32frombits(binary.LittleEndian.Uint32(s[28:]))
-		dst = dst[8:]
-		src = src[32:]
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
-}
-
 // putF16Slice writes src as little-endian binary16 into dst (2*len(src)
 // bytes).
 func putF16Slice(dst []byte, src []float32) {
@@ -285,6 +240,26 @@ var emptyF32 = make([]float32, 0)
 // consumers must finish with (or copy out of) the packet before recycling
 // it. buf itself is not retained and may be released immediately.
 func DecodePacketInto(p *Packet, scratch []float32, buf []byte) ([]float32, error) {
+	return decodePacket(p, scratch, buf, false)
+}
+
+// DecodePacketView is DecodePacketInto without the payload copy where the
+// host allows it: on a little-endian host with buf 4-byte aligned, every
+// float32 Block.Data aliases buf itself. Half-precision payloads, and
+// every payload on big-endian hosts or in a misaligned buf, are decoded
+// into the scratch arena as DecodePacketInto does. Validation is
+// identical, so both accept and reject exactly the same inputs.
+//
+// Ownership: the decoded packet may reference buf, so buf must stay
+// untouched and unreleased for as long as the packet is used, in addition
+// to DecodePacketInto's rules for p and the arena.
+func DecodePacketView(p *Packet, scratch []float32, buf []byte) ([]float32, error) {
+	return decodePacket(p, scratch, buf, true)
+}
+
+// decodePacket implements DecodePacketInto and, with alias set,
+// DecodePacketView.
+func decodePacket(p *Packet, scratch []float32, buf []byte, alias bool) ([]float32, error) {
 	if len(buf) < headerLen {
 		return scratch, ErrTruncated
 	}
@@ -317,6 +292,7 @@ func DecodePacketInto(p *Packet, scratch []float32, buf []byte) ([]float32, erro
 	if p.DType == DTypeF16 {
 		elemBytes = 2
 	}
+	alias = alias && p.DType == DTypeF32 && canAliasF32(buf)
 
 	// First pass: validate the block structure and total the element
 	// counts before touching the arena. Element counts come off the wire
@@ -336,30 +312,34 @@ func DecodePacketInto(p *Packet, scratch []float32, buf []byte) ([]float32, erro
 		o += elemBytes * int(n)
 		total += int(n)
 	}
-	if cap(scratch) < total {
+	if !alias && cap(scratch) < total {
 		scratch = make([]float32, total)
 	}
 	scratch = scratch[:cap(scratch)]
 
-	// Second pass: decode payloads into disjoint arena carvings. The
-	// arena no longer moves, so earlier blocks stay valid.
+	// Second pass: alias payloads in place, or decode them into disjoint
+	// arena carvings. The arena no longer moves, so earlier blocks stay
+	// valid.
 	used := 0
 	for ; mask != 0; mask &= mask - 1 {
 		idx := binary.LittleEndian.Uint32(buf[off:])
 		n := int(binary.LittleEndian.Uint32(buf[off+4:]))
 		off += 8
 		data := emptyF32
-		if n > 0 {
+		switch {
+		case n == 0:
+		case alias:
+			data = aliasF32(buf[off : off+4*n])
+		default:
 			data = scratch[used : used+n : used+n]
 			used += n
+			if p.DType == DTypeF16 {
+				getF16Slice(data, buf[off:])
+			} else {
+				getF32Slice(data, buf[off:])
+			}
 		}
-		if p.DType == DTypeF16 {
-			getF16Slice(data, buf[off:])
-			off += 2 * n
-		} else {
-			getF32Slice(data, buf[off:])
-			off += 4 * n
-		}
+		off += elemBytes * n
 		p.Blocks = append(p.Blocks, Block{Index: idx, Data: data})
 	}
 	return scratch, nil

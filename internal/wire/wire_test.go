@@ -255,8 +255,8 @@ func BenchmarkPacketDecode(b *testing.B) {
 	}
 }
 
-// BenchmarkPacketDecodeInto is the reuse path the live drivers run:
-// recycled packet, recycled scratch arena, zero steady-state allocations.
+// BenchmarkPacketDecodeInto is the copying reuse path: recycled packet,
+// recycled scratch arena, zero steady-state allocations.
 func BenchmarkPacketDecodeInto(b *testing.B) {
 	p := &Packet{Type: TypeData, BlockSize: 256, Nexts: make([]uint32, 4)}
 	for c := 0; c < 4; c++ {
@@ -271,6 +271,28 @@ func BenchmarkPacketDecodeInto(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		scratch, err = DecodePacketInto(&dst, scratch, buf)
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPacketDecodeView is the path the live drivers run: the
+// reuse path with float32 payloads read in place from buf.
+func BenchmarkPacketDecodeView(b *testing.B) {
+	p := &Packet{Type: TypeData, BlockSize: 256, Nexts: make([]uint32, 4)}
+	for c := 0; c < 4; c++ {
+		p.Blocks = append(p.Blocks, Block{Index: uint32(c), Data: make([]float32, 256)})
+	}
+	buf := AppendPacket(nil, p)
+	var dst Packet
+	var scratch []float32
+	b.SetBytes(int64(4 * 256 * 4))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		scratch, err = DecodePacketView(&dst, scratch, buf)
 		if err != nil {
 			b.Fatal(err)
 		}
